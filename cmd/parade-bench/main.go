@@ -6,19 +6,14 @@
 // kernel, diff engine, directive microbenchmarks, Fig 6/7 sweeps) and
 // writes a JSON report; see scripts/bench.sh.
 //
-// With -chaos it runs the fault-injection matrix: the app kernels in
-// both directive modes under every built-in netsim fault profile,
-// asserting bit-identical results against the fault-free baselines.
-//
-// With -crash it runs the crash-stop acceptance matrix instead:
-// deterministic node crash/restart schedules at barrier points, with
-// every recovered run checked bit-identical to its fault-free baseline.
-//
-// With -policy it runs the fixed-vs-adaptive protocol policy sweep: the
-// app kernels across directive modes, fabrics, and hlrc policies, with
-// per-cell result-bit identity asserted and the cells where the adaptive
-// policy beats every fixed policy reported (optionally as JSONL via
-// -policy-out).
+// With -matrix it runs the scenario matrix instead: the cross product of
+// the axes in its argument (e.g. "app=cg,md fault=all", "crash=all",
+// "fabric=all policy=all lanes=0,1,4"; see harness.ParseMatrix), with
+// the cross-cell invariants checked — result bits identical across
+// faults, crashes, policies, and lanes; recovered and fault-injected
+// runs bit-identical to their baselines — and the cells where the
+// adaptive policy beats every fixed one reported. -out FILE also writes
+// the report as JSONL.
 package main
 
 import (
@@ -62,17 +57,6 @@ func writeMetrics(path string, points []metricsPoint) error {
 	}{Schema: "parade-bench-metrics/v1", Points: points})
 }
 
-// splitList parses a comma-separated flag value.
-func splitList(s string) []string {
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		if part = strings.TrimSpace(part); part != "" {
-			out = append(out, part)
-		}
-	}
-	return out
-}
-
 func main() {
 	fig := flag.String("fig", "all", "figure to regenerate: 6..11 or 'all'")
 	nodesFlag := flag.String("nodes", "1,2,4,8", "comma-separated node counts")
@@ -80,103 +64,21 @@ func main() {
 	scaleLanes := flag.Int("scale-lanes", 0, "weak-scaling: lane worker count for the parallel series (0 = GOMAXPROCS)")
 	scaleRounds := flag.Int("scale-rounds", 40, "weak-scaling: compute+barrier rounds per node")
 	regress := flag.Bool("regress", false, "run benchmark suites and emit a JSON report instead of figures")
-	out := flag.String("out", "-", "regress: report output path ('-' for stdout)")
+	out := flag.String("out", "-", "regress, weak scaling: report output path ('-' for stdout); matrix: JSONL report path")
 	baseline := flag.String("baseline", "", "regress: prior report (JSON) or raw 'go test -bench' output to compare against")
 	benchtime := flag.String("benchtime", "1s", "regress: -benchtime passed to go test")
 	maxRegress := flag.Float64("max-regress", 0, "regress: exit non-zero if any benchmark slows more than this factor vs baseline (0 disables)")
 	metricsOut := flag.String("metrics", "", "write per-figure observability metrics JSON to this file ('-' for stdout)")
-	chaos := flag.Bool("chaos", false, "run the fault-injection matrix (app kernels under every fault profile) instead of figures")
-	chaosNodes := flag.Int("chaos-nodes", 4, "chaos: cluster size")
-	chaosSeed := flag.Int64("chaos-seed", 1, "chaos: fault-plane seed")
-	chaosLanes := flag.Int("chaos-lanes", 0, "chaos: event-lane workers (0 = legacy kernel)")
-	chaosApps := flag.String("chaos-apps", "", "chaos: comma-separated subset of helmholtz,ep,cg,md,quad,taskdep,lockmix (empty = all)")
-	chaosProfiles := flag.String("chaos-profiles", "", "chaos: comma-separated subset of drop,dup,reorder,straggler,chaos (empty = all)")
-	crash := flag.Bool("crash", false, "run the crash-stop acceptance matrix (checkpoint/restart recovery) instead of figures")
-	crashNodes := flag.Int("crash-nodes", 4, "crash: cluster size")
-	crashLanes := flag.Int("crash-lanes", 0, "crash: event-lane workers (0 = legacy kernel)")
-	crashApps := flag.String("crash-apps", "", "crash: comma-separated subset of helmholtz,ep,cg,md,quad,taskdep,lockmix (empty = all)")
-	chaosPolicy := flag.String("chaos-policy", "", "chaos: hlrc protocol policy for every run (empty = legacy)")
-	crashPolicy := flag.String("crash-policy", "", "crash: hlrc protocol policy for every run (empty = legacy)")
-	policy := flag.Bool("policy", false, "run the fixed-vs-adaptive protocol policy sweep instead of figures")
-	policyNodes := flag.Int("policy-nodes", 4, "policy: cluster size")
-	policyLanes := flag.Int("policy-lanes", 0, "policy: event-lane workers for the comparison runs (0 = legacy kernel)")
-	policyApps := flag.String("policy-apps", "", "policy: comma-separated subset of helmholtz,ep,cg,md,quad,taskdep,lockmix (empty = all)")
-	policyModes := flag.String("policy-modes", "", "policy: comma-separated subset of hybrid,sdsm (empty = both)")
-	policyFabrics := flag.String("policy-fabrics", "", "policy: comma-separated subset of via,tcp (empty = both)")
-	policyOut := flag.String("policy-out", "", "policy: write the sweep as JSONL to this file ('-' for stdout)")
+	matrix := flag.String("matrix", "", "run the scenario matrix over these axes (e.g. \"app=cg,md fault=all crash=all policy=adaptive lanes=2\") instead of figures")
 	flag.Parse()
 
-	if *policy {
-		opt := harness.PolicyOptions{Nodes: *policyNodes, Lanes: *policyLanes}
-		if *policyApps != "" {
-			opt.Apps = splitList(*policyApps)
-		}
-		if *policyModes != "" {
-			opt.Modes = splitList(*policyModes)
-		}
-		if *policyFabrics != "" {
-			opt.Fabrics = splitList(*policyFabrics)
-		}
-		rep, err := harness.RunPolicySweep(opt)
+	if *matrix != "" {
+		ok, err := runMatrix(*matrix, *out)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "parade-bench: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Print(rep.Render())
-		if *policyOut != "" {
-			w := os.Stdout
-			if *policyOut != "-" {
-				f, err := os.Create(*policyOut)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "parade-bench: %v\n", err)
-					os.Exit(1)
-				}
-				defer f.Close()
-				w = f
-			}
-			if err := rep.WriteJSONL(w); err != nil {
-				fmt.Fprintf(os.Stderr, "parade-bench: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		if !rep.OK() {
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *crash {
-		opt := harness.CrashOptions{Nodes: *crashNodes, Lanes: *crashLanes, Policy: *crashPolicy}
-		if *crashApps != "" {
-			opt.Apps = splitList(*crashApps)
-		}
-		rep, err := harness.RunCrash(opt)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "parade-bench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Print(rep.Render())
-		if !rep.OK() {
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *chaos {
-		opt := harness.ChaosOptions{Nodes: *chaosNodes, Seed: *chaosSeed, Lanes: *chaosLanes, Policy: *chaosPolicy}
-		if *chaosApps != "" {
-			opt.Apps = splitList(*chaosApps)
-		}
-		if *chaosProfiles != "" {
-			opt.Profiles = splitList(*chaosProfiles)
-		}
-		rep, err := harness.RunChaos(opt)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "parade-bench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Print(rep.Render())
-		if !rep.OK() {
+		if !ok {
 			os.Exit(1)
 		}
 		return
@@ -266,4 +168,29 @@ func main() {
 			os.Exit(1)
 		}
 	}
+}
+
+// runMatrix runs the scenario matrix, prints its table, and reports
+// whether every invariant held.
+func runMatrix(axes, out string) (bool, error) {
+	m, err := harness.ParseMatrix(axes)
+	if err != nil {
+		return false, err
+	}
+	rep, err := m.Run()
+	if err != nil {
+		return false, err
+	}
+	fmt.Print(rep.Render())
+	if out != "-" {
+		f, err := os.Create(out)
+		if err != nil {
+			return false, err
+		}
+		defer f.Close()
+		if err := rep.WriteJSONL(f); err != nil {
+			return false, err
+		}
+	}
+	return rep.OK(), nil
 }

@@ -11,10 +11,11 @@
 // See SERVING.md for the full serving surface and failure modes.
 //
 // With -replay the command instead acts as its own acceptance harness:
-// it replays the chaos and crash scenario matrices through the service
-// path and exits non-zero if any cell's HTTP result differs from an
-// in-process run, if a repeated batch misses the cache, or if a cache
-// hit re-executes (probed via /metrics). "-replay self" boots an
+// it replays a scenario matrix (the -matrix axes, by default every app
+// under every fault profile and two crash schedules) through the
+// service path and exits non-zero if any cell's HTTP result differs
+// from an in-process run, if a repeated batch misses the cache, or if a
+// cache hit re-executes (probed via /metrics). "-replay self" boots an
 // in-process server first; "-replay http://host:port" targets a running
 // one.
 //
@@ -34,12 +35,11 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
 	"parade/internal/fleet"
+	"parade/internal/harness"
 )
 
 func main() {
@@ -58,14 +58,8 @@ func main() {
 		chaosCells = flag.Int("chaos-cells", 0, "scenario cells for -serve-chaos (default 24)")
 		chaosSeed  = flag.Int64("chaos-seed", 0, "base seed for -serve-chaos (default 1)")
 
-		replay         = flag.String("replay", "", "replay the acceptance matrices through the service path: 'self' boots an in-process server, otherwise a base URL of a running one")
-		replayApps     = flag.String("replay-apps", "", "comma-separated app subset for -replay (default: all)")
-		replayModes    = flag.String("replay-modes", "", "comma-separated mode subset for -replay (default: hybrid,sdsm)")
-		replayProfiles = flag.String("replay-profiles", "", "comma-separated fault-profile subset for -replay ('none' for ideal fabric only)")
-		replayCrashes  = flag.String("replay-crashes", "", "comma-separated crash-schedule subset for -replay ('none' for crash-free only)")
-		replayNodes    = flag.String("replay-nodes", "", "comma-separated node counts for -replay (default: 4)")
-		replayLanes    = flag.String("replay-lanes", "", "comma-separated lane counts for -replay (default: 0)")
-		replaySeed     = flag.Int64("replay-seed", 0, "fault-plane seed for -replay (default: 1)")
+		replay = flag.String("replay", "", "replay a scenario matrix through the service path: 'self' boots an in-process server, otherwise a base URL of a running one")
+		matrix = flag.String("matrix", "fault=all crash=1@1;1@1,1@3", "axes of the -replay matrix (harness.ParseMatrix syntax)")
 	)
 	flag.Parse()
 
@@ -97,17 +91,12 @@ func main() {
 	}
 
 	if *replay != "" {
-		ropt := fleet.ReplayOptions{
-			Apps:     splitList(*replayApps),
-			Modes:    splitList(*replayModes),
-			Profiles: splitOrNone(*replayProfiles),
-			Crashes:  splitOrNone(*replayCrashes),
-			Nodes:    mustInts(*replayNodes, "-replay-nodes"),
-			Lanes:    mustInts(*replayLanes, "-replay-lanes"),
-			Seed:     *replaySeed,
-			Log:      os.Stderr,
+		m, err := harness.ParseMatrix(*matrix)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "parade-serve: %v\n", err)
+			os.Exit(2)
 		}
-		os.Exit(runReplay(*replay, opt, ropt))
+		os.Exit(runReplay(*replay, opt, m))
 	}
 
 	svc, err := fleet.NewService(opt)
@@ -146,9 +135,12 @@ func main() {
 
 // runReplay executes the replay harness and returns the process exit
 // code. target "self" boots an in-process server on a loopback port.
-func runReplay(target string, opt fleet.ServerOptions, ropt fleet.ReplayOptions) int {
+func runReplay(target string, opt fleet.ServerOptions, m harness.Matrix) int {
 	baseURL := target
 	if target == "self" {
+		// The in-process server exists only for this replay: admit the
+		// whole matrix as one batch.
+		opt.Queue = max(opt.Queue, len(m.Expand()))
 		svc, err := fleet.NewService(opt)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "parade-serve: %v\n", err)
@@ -167,7 +159,7 @@ func runReplay(target string, opt fleet.ServerOptions, ropt fleet.ReplayOptions)
 		}()
 		baseURL = "http://" + ln.Addr().String()
 	}
-	sum, err := fleet.Replay(baseURL, ropt)
+	sum, err := fleet.Replay(baseURL, m, os.Stderr)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "parade-serve: replay FAILED: %v\n", err)
 		return 1
@@ -175,67 +167,4 @@ func runReplay(target string, opt fleet.ServerOptions, ropt fleet.ReplayOptions)
 	fmt.Printf("replay OK: %d cells identical via service path, %d cache hits on repeat, executions delta %d\n",
 		sum.Cells, sum.CacheHits, sum.ExecDelta)
 	return 0
-}
-
-// splitList parses a comma-separated flag value ("" yields nil).
-func splitList(s string) []string {
-	if strings.TrimSpace(s) == "" {
-		return nil
-	}
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part != "" {
-			out = append(out, part)
-		}
-	}
-	return out
-}
-
-// splitOrNone parses a profile/crash subset flag. The sentinel "none"
-// selects only the empty value (ideal fabric / crash-free), since nil
-// means "use the replay defaults". Crash schedules contain commas, so
-// elements are separated with ';' in these flags.
-func splitOrNone(s string) []string {
-	s = strings.TrimSpace(s)
-	if s == "" {
-		return nil
-	}
-	if s == "none" {
-		return []string{""}
-	}
-	sep := ","
-	if strings.Contains(s, ";") {
-		sep = ";"
-	}
-	var out []string
-	for _, part := range strings.Split(s, sep) {
-		part = strings.TrimSpace(part)
-		if part == "none" {
-			part = ""
-		}
-		out = append(out, part)
-	}
-	return out
-}
-
-// mustInts parses a comma-separated int list, exiting on bad input.
-func mustInts(s, flagName string) []int {
-	if strings.TrimSpace(s) == "" {
-		return nil
-	}
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		v, err := strconv.Atoi(part)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "parade-serve: %s: bad value %q\n", flagName, part)
-			os.Exit(2)
-		}
-		out = append(out, v)
-	}
-	return out
 }

@@ -6,10 +6,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net"
 	"net/http"
 	"strings"
 	"time"
+
+	"parade/internal/harness"
 )
 
 // ChaosOptions sizes a service-chaos run.
@@ -85,11 +88,10 @@ func RunServeChaos(opt ChaosOptions) (ChaosSummary, error) {
 	// The base matrix uses the two cheapest apps in both execution modes;
 	// the seed dimension stretches it to any cell count with every cell a
 	// distinct simulation (seed is part of the canonical config).
-	base := SpecMatrix{
+	base := harness.Matrix{
 		Apps:  []string{"ep", "quad"},
-		Modes: []string{"hybrid", "sdsm"},
 		Nodes: []int{2},
-		Seed:  opt.Seed,
+		Seeds: []int64{opt.Seed},
 	}.Expand()
 	specs := make([]JobSpec, 0, opt.Cells)
 	for round := int64(0); len(specs) < opt.Cells; round++ {
@@ -134,7 +136,7 @@ func RunServeChaos(opt ChaosOptions) (ChaosSummary, error) {
 	clientDone := make(chan error, 1)
 	var killedResults []JobResult
 	go func() {
-		results, err := postSpecs(urlA, specs)
+		results, err := postSpecs(urlA, specs, nil, nil)
 		killedResults = results
 		clientDone <- err
 	}()
@@ -211,7 +213,7 @@ func RunServeChaos(opt ChaosOptions) (ChaosSummary, error) {
 			recoverSpecs = append(recoverSpecs, spec)
 		}
 	}
-	results, err := postSpecs(urlB, recoverSpecs)
+	results, err := postSpecs(urlB, recoverSpecs, nil, nil)
 	if err != nil {
 		return sum, fmt.Errorf("chaos: recovery resubmit: %w", err)
 	}
@@ -238,7 +240,7 @@ func RunServeChaos(opt ChaosOptions) (ChaosSummary, error) {
 
 	// The full sweep finishes on the restarted server; every cell must
 	// match the reference.
-	results, err = postSpecs(urlB, specs)
+	results, err = postSpecs(urlB, specs, nil, nil)
 	if err != nil {
 		return sum, fmt.Errorf("chaos: completing sweep after restart: %w", err)
 	}
@@ -265,7 +267,7 @@ func RunServeChaos(opt ChaosOptions) (ChaosSummary, error) {
 			panic(fmt.Sprintf("chaos: injected fault (attempt %d)", attempt))
 		}
 	}
-	results, err = postSpecs(urlB, []JobSpec{panicSpec, specs[0]})
+	results, err = postSpecs(urlB, []JobSpec{panicSpec, specs[0]}, nil, nil)
 	if err != nil {
 		return sum, fmt.Errorf("chaos: panic-injection batch: %w", err)
 	}
@@ -279,7 +281,7 @@ func RunServeChaos(opt ChaosOptions) (ChaosSummary, error) {
 		return sum, fmt.Errorf("chaos: server stopped serving after an injected panic: %q", results[1].Status)
 	}
 	sum.Panics++
-	results, err = postSpecs(urlB, []JobSpec{panicSpec})
+	results, err = postSpecs(urlB, []JobSpec{panicSpec}, nil, nil)
 	if err != nil {
 		return sum, fmt.Errorf("chaos: quarantine resubmit: %w", err)
 	}
@@ -293,7 +295,7 @@ func RunServeChaos(opt ChaosOptions) (ChaosSummary, error) {
 	// Phase 5: a 1ms deadline on a deliberately large cell cancels
 	// instead of hanging a worker. (nodes=8 cg runs far longer than 1ms.)
 	slow := JobSpec{ID: "chaos-deadline", App: "cg", Mode: "sdsm", Nodes: 8, Seed: freshSeed, DeadlineMS: 1}
-	results, err = postSpecs(urlB, []JobSpec{slow})
+	results, err = postSpecs(urlB, []JobSpec{slow}, nil, nil)
 	if err != nil {
 		return sum, fmt.Errorf("chaos: deadline batch: %w", err)
 	}
@@ -319,8 +321,10 @@ func serveLoopback(svc *Service) (baseURL string, stop func(), err error) {
 }
 
 // postSpecs posts one batch and returns the results ordered by batch
-// index (errors if any line is missing).
-func postSpecs(baseURL string, specs []JobSpec) ([]JobResult, error) {
+// index (errors if any line is missing). A non-nil rng retries overload
+// and restart responses with jittered backoff (postWithBackoff); nil
+// posts once.
+func postSpecs(baseURL string, specs []JobSpec, rng *rand.Rand, logf func(string, ...any)) ([]JobResult, error) {
 	var body bytes.Buffer
 	enc := json.NewEncoder(&body)
 	for _, spec := range specs {
@@ -328,9 +332,15 @@ func postSpecs(baseURL string, specs []JobSpec) ([]JobResult, error) {
 			return nil, err
 		}
 	}
-	resp, err := http.Post(baseURL+"/v1/jobs", "application/x-ndjson", &body)
+	var resp *http.Response
+	var err error
+	if rng != nil {
+		resp, err = postWithBackoff(baseURL+"/v1/jobs", body.Bytes(), rng, logf)
+	} else if resp, err = http.Post(baseURL+"/v1/jobs", "application/x-ndjson", &body); err != nil {
+		err = fmt.Errorf("POST /v1/jobs: %w", err)
+	}
 	if err != nil {
-		return nil, fmt.Errorf("POST /v1/jobs: %w", err)
+		return nil, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {

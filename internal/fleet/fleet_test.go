@@ -56,6 +56,15 @@ func TestJobSpecValidationTable(t *testing.T) {
 			fields: []string{"crash"}},
 		{name: "crash node zero", spec: JobSpec{App: "ep", Mode: "hybrid", Crash: "0@1"},
 			fields: []string{"crash"}},
+		// taskdep pins the fasthalf machine: the empty field takes it, an
+		// explicit match is fine, and any other machine is a conflict
+		// instead of a silently ignored request.
+		{name: "taskdep pinned machine", spec: JobSpec{App: "taskdep", Mode: "hybrid"}},
+		{name: "taskdep explicit pinned machine", spec: JobSpec{App: "taskdep", Mode: "hybrid", Hetero: "fasthalf"}},
+		{name: "taskdep other machine", spec: JobSpec{App: "taskdep", Mode: "hybrid", Hetero: "slow1"},
+			fields: []string{"hetero"}, reason: `runs only on the "fasthalf" machine`},
+		{name: "taskdep uniform machine", spec: JobSpec{App: "taskdep", Mode: "sdsm", Hetero: "uniform"},
+			fields: []string{"hetero"}, reason: `got "uniform"`},
 		{name: "several fields at once",
 			spec:   JobSpec{App: "nope", Mode: "nope", Fabric: "nope", Nodes: -1, FaultProfile: "nope"},
 			fields: []string{"app", "fabric", "fault_profile", "mode", "nodes"}},
@@ -135,6 +144,13 @@ func TestJobSpecCanonicalization(t *testing.T) {
 		t.Errorf(`hetero "uniform" fingerprints differently from the default`)
 	}
 
+	// taskdep's pinned machine is part of its identity, however the spec
+	// spells it.
+	td, tdExplicit := JobSpec{App: "taskdep", Mode: "hybrid"}, JobSpec{App: "taskdep", Mode: "hybrid", Hetero: "fasthalf"}
+	if !strings.HasSuffix(td.Canonical(), " hetero=fasthalf") || td.Fingerprint() != tdExplicit.Fingerprint() {
+		t.Errorf("taskdep canonical %q does not name its pinned machine", td.Canonical())
+	}
+
 	// Crash schedules canonicalize whitespace.
 	c1, c2 := base, base
 	c1.Crash, c2.Crash = "1@1, 2@3", "1@1,2@3"
@@ -164,31 +180,6 @@ func TestJobSpecCanonicalization(t *testing.T) {
 			t.Errorf("specs %d and %d share canonical %q", i, j, canon)
 		}
 		seen[canon] = i
-	}
-}
-
-func TestSpecMatrixExpand(t *testing.T) {
-	specs := SpecMatrix{
-		Apps: []string{"ep", "cg"}, Modes: []string{"hybrid"},
-		Profiles: []string{"", "drop"}, Crashes: []string{"", "1@1"},
-	}.Expand()
-	// Per app: (profile "", crash ""), ("", "1@1"), ("drop", "") — the
-	// drop+crash combination is skipped.
-	if len(specs) != 6 {
-		t.Fatalf("Expand() = %d specs, want 6", len(specs))
-	}
-	for _, s := range specs {
-		if s.FaultProfile != "" && s.Crash != "" {
-			t.Errorf("Expand() emitted a fault+crash cell: %s", s.Canonical())
-		}
-		if err := s.Validate(); err != nil {
-			t.Errorf("Expand() emitted invalid spec %s: %v", s.Canonical(), err)
-		}
-	}
-	if !sort.SliceIsSorted(specs, func(i, j int) bool {
-		return specs[i].Canonical() < specs[j].Canonical()
-	}) {
-		t.Errorf("Expand() output not in canonical order")
 	}
 }
 

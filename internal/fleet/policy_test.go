@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"parade/internal/harness"
 	"parade/internal/hlrc"
 )
 
@@ -59,7 +60,7 @@ func TestJobSpecPolicyField(t *testing.T) {
 
 	// Matrix expansion: Policies multiplies the grid; omitting it keeps
 	// the legacy single-policy expansion.
-	m := SpecMatrix{
+	m := harness.Matrix{
 		Apps: []string{"ep"}, Modes: []string{"hybrid"},
 		Policies: []string{"", hlrc.PolicyAdaptive},
 	}

@@ -3,7 +3,6 @@ package fleet
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
@@ -11,23 +10,9 @@ import (
 	"strconv"
 	"strings"
 	"time"
-)
 
-// ReplayOptions selects the scenario subset a replay drives through the
-// service. Zero values take the SpecMatrix defaults; the default
-// profile/crash sets exercise both the chaos and crash acceptance
-// matrices so the replay proves the HTTP path serves the exact cells the
-// in-process matrices assert on.
-type ReplayOptions struct {
-	Apps     []string
-	Modes    []string
-	Profiles []string // default: "", drop, dup, reorder, straggler, chaos
-	Crashes  []string // default: "", 1@1, 1@1,1@3
-	Nodes    []int
-	Lanes    []int
-	Seed     int64
-	Log      io.Writer // progress lines; nil discards
-}
+	"parade/internal/harness"
+)
 
 // ReplaySummary reports what a replay covered and found.
 type ReplaySummary struct {
@@ -52,40 +37,29 @@ type ReplaySummary struct {
 //  3. Cache-skip: /metrics' parade_fleet_executions_total does not move
 //     across the repeat batch — hits provably never re-run.
 //
-// baseURL is the service root (e.g. http://127.0.0.1:8080). A non-nil
-// error reports the first hard failure; mismatch counts are in the
-// summary either way.
-func Replay(baseURL string, opt ReplayOptions) (ReplaySummary, error) {
+// baseURL is the service root (e.g. http://127.0.0.1:8080); log, when
+// non-nil, receives progress lines. A non-nil error reports the first
+// hard failure; mismatch counts are in the summary either way.
+func Replay(baseURL string, m harness.Matrix, log io.Writer) (ReplaySummary, error) {
 	logf := func(format string, args ...any) {
-		if opt.Log != nil {
-			fmt.Fprintf(opt.Log, format+"\n", args...)
+		if log != nil {
+			fmt.Fprintf(log, format+"\n", args...)
 		}
 	}
-	profiles := opt.Profiles
-	if len(profiles) == 0 {
-		profiles = []string{"drop", "dup", "reorder", "straggler", "chaos"}
+	if err := m.Validate(); err != nil {
+		return ReplaySummary{}, fmt.Errorf("replay: %w", err)
 	}
-	crashes := opt.Crashes
-	if len(crashes) == 0 {
-		crashes = []string{"1@1", "1@1,1@3"}
+	specs := m.Expand()
+	for i := range specs {
+		specs[i].ID = fmt.Sprintf("replay-%d", i)
 	}
-	// The matrices pair link faults with crash-free runs and crashes with
-	// the ideal fabric; the fault-free baseline cell anchors both, so both
-	// dimensions always include the empty value.
-	profiles = withEmpty(profiles)
-	crashes = withEmpty(crashes)
-	specs := SpecMatrix{
-		Apps: opt.Apps, Modes: opt.Modes,
-		Profiles: profiles, Crashes: crashes,
-		Nodes: opt.Nodes, Lanes: opt.Lanes, Seed: opt.Seed,
-	}.Expand()
 	sum := ReplaySummary{Cells: len(specs)}
 	logf("replay: %d scenario cells against %s", len(specs), baseURL)
 
 	// In-process reference: a fresh executor, no cache anywhere near it.
-	ref := make(map[string]JobResult, len(specs))
+	ref := make([]JobResult, len(specs))
 	exec := &Executor{}
-	for _, spec := range specs {
+	for i, spec := range specs {
 		res, err := exec.Run(spec)
 		if err != nil {
 			return sum, fmt.Errorf("replay: in-process run %s: %w", spec.Canonical(), err)
@@ -94,66 +68,27 @@ func Replay(baseURL string, opt ReplayOptions) (ReplaySummary, error) {
 			return sum, fmt.Errorf("replay: in-process run %s: status %s: %s",
 				spec.Canonical(), res.Status, res.Error)
 		}
-		ref[spec.Canonical()] = res
+		ref[i] = res
 	}
 	logf("replay: in-process reference complete (%d executions)", exec.Executions())
 
-	// Jitter is deterministic per replay seed so two replays of the same
+	// Jitter is deterministic per matrix so two replays of the same
 	// matrix back off identically.
-	rng := rand.New(rand.NewSource(opt.Seed + 0x9e3779b9))
-	post := func() (map[string]JobResult, error) {
-		var body bytes.Buffer
-		enc := json.NewEncoder(&body)
-		for i, spec := range specs {
-			spec.ID = fmt.Sprintf("replay-%d", i)
-			if err := enc.Encode(spec); err != nil {
-				return nil, err
-			}
-		}
-		resp, err := postWithBackoff(baseURL+"/v1/jobs", body.Bytes(), rng, logf)
-		if err != nil {
-			return nil, err
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-			return nil, fmt.Errorf("POST /v1/jobs: %s: %s", resp.Status, strings.TrimSpace(string(msg)))
-		}
-		results := make(map[string]JobResult, len(specs))
-		sc := bufio.NewScanner(resp.Body)
-		sc.Buffer(make([]byte, 64<<10), 1<<20)
-		for sc.Scan() {
-			if strings.TrimSpace(sc.Text()) == "" {
-				continue
-			}
-			var res JobResult
-			if err := json.Unmarshal(sc.Bytes(), &res); err != nil {
-				return nil, fmt.Errorf("parsing result line: %w", err)
-			}
-			if res.Index < 0 || res.Index >= len(specs) {
-				return nil, fmt.Errorf("result index %d out of range", res.Index)
-			}
-			results[specs[res.Index].Canonical()] = res
-		}
-		if err := sc.Err(); err != nil {
-			return nil, fmt.Errorf("reading results: %w", err)
-		}
-		if len(results) != len(specs) {
-			return nil, fmt.Errorf("got %d result lines, want %d", len(results), len(specs))
-		}
-		return results, nil
+	seed := int64(1)
+	if len(m.Seeds) > 0 {
+		seed = m.Seeds[0]
 	}
+	rng := rand.New(rand.NewSource(seed + 0x9e3779b9))
 
 	// Pass 1: service results must be identical to the in-process runs.
-	got, err := post()
+	got, err := postSpecs(baseURL, specs, rng, logf)
 	if err != nil {
 		return sum, fmt.Errorf("replay pass 1: %w", err)
 	}
-	for _, spec := range specs {
-		canon := spec.Canonical()
-		if diff := diffResults(ref[canon], got[canon]); diff != "" {
+	for i, spec := range specs {
+		if diff := diffResults(ref[i], got[i]); diff != "" {
 			sum.Mismatches++
-			logf("replay: MISMATCH %s: %s", canon, diff)
+			logf("replay: MISMATCH %s: %s", spec.Canonical(), diff)
 		}
 	}
 	if sum.Mismatches > 0 {
@@ -168,7 +103,7 @@ func Replay(baseURL string, opt ReplayOptions) (ReplaySummary, error) {
 	if err != nil {
 		return sum, fmt.Errorf("replay: scraping /metrics before repeat: %w", err)
 	}
-	repeat, err := post()
+	repeat, err := postSpecs(baseURL, specs, rng, logf)
 	if err != nil {
 		return sum, fmt.Errorf("replay pass 2: %w", err)
 	}
@@ -177,18 +112,17 @@ func Replay(baseURL string, opt ReplayOptions) (ReplaySummary, error) {
 		return sum, fmt.Errorf("replay: scraping /metrics after repeat: %w", err)
 	}
 	sum.ExecDelta = after - before
-	for _, spec := range specs {
-		canon := spec.Canonical()
-		res := repeat[canon]
+	for i, spec := range specs {
+		res := repeat[i]
 		if res.Cached {
 			sum.CacheHits++
 		} else {
 			sum.Mismatches++
-			logf("replay: repeat of %s not served from cache", canon)
+			logf("replay: repeat of %s not served from cache", spec.Canonical())
 		}
-		if diff := diffResults(ref[canon], res); diff != "" {
+		if diff := diffResults(ref[i], res); diff != "" {
 			sum.Mismatches++
-			logf("replay: MISMATCH on cached %s: %s", canon, diff)
+			logf("replay: MISMATCH on cached %s: %s", spec.Canonical(), diff)
 		}
 	}
 	if sum.Mismatches > 0 {
@@ -254,16 +188,6 @@ func postWithBackoff(url string, body []byte, rng *rand.Rand, logf func(string, 
 // jitter scales d by a uniform factor in [0.5, 1.5).
 func jitter(d time.Duration, rng *rand.Rand) time.Duration {
 	return time.Duration(float64(d) * (0.5 + rng.Float64()))
-}
-
-// withEmpty prepends the empty value to a dimension unless present.
-func withEmpty(vals []string) []string {
-	for _, v := range vals {
-		if v == "" {
-			return vals
-		}
-	}
-	return append([]string{""}, vals...)
 }
 
 // diffResults compares the identity observables of two results and

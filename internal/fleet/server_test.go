@@ -8,6 +8,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"parade/internal/harness"
 )
 
 // postBatch posts raw JSONL to a test service and decodes the response.
@@ -269,11 +271,11 @@ func TestReplayAgainstTestServer(t *testing.T) {
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 
-	sum, err := Replay(ts.URL, ReplayOptions{
-		Apps:     []string{"ep", "lockmix"},
-		Profiles: []string{"drop"},
-		Crashes:  []string{"1@1"},
-	})
+	sum, err := Replay(ts.URL, harness.Matrix{
+		Apps:    []string{"ep", "lockmix"},
+		Faults:  []string{"drop"},
+		Crashes: []string{"1@1"},
+	}, nil)
 	if err != nil {
 		t.Fatalf("Replay: %v", err)
 	}

@@ -8,83 +8,69 @@ import (
 	"parade/internal/apps"
 	"parade/internal/core"
 	"parade/internal/kdsm"
-	"parade/internal/netsim"
 	"parade/internal/sim"
 )
 
-// MatrixApp is one application kernel of the acceptance matrices (chaos,
-// crash, and the fleet service's replay). Run executes the kernel at its
-// matrix workload size and returns the result-bits fingerprint (hex of
-// the exact float64 bits of every result field — any single-bit
-// difference changes the string), the kernel time, and the run report.
-// LockCaching marks the lock-protocol stress kernel, which runs with
-// lazy-release tokens so the cached lock path gets coverage.
+// MatrixApp is one application kernel of the scenario matrix. Run
+// executes the kernel at its matrix workload size and returns the
+// result-bits fingerprint (hex of the exact float64 bits of every result
+// field — any single-bit difference changes the string), the kernel
+// time, and the run report. LockCaching marks the lock-protocol stress
+// kernel, which runs with lazy-release tokens so the cached lock path
+// gets coverage. Hetero, when set, pins the kernel's machine: Spec
+// normalization fills it in and validation rejects any other profile,
+// so a cell's fingerprint always names the machine it ran on.
 type MatrixApp struct {
 	Name        string
 	LockCaching bool
+	Hetero      string
 	Run         func(cfg core.Config) (string, sim.Duration, core.Report, error)
 }
 
-// matrixApps is the shared kernel table behind MatrixApps. The chaos and
-// crash matrices and internal/fleet all draw from it, so a service-path
-// replay runs byte-for-byte the same cells as the in-process harness.
+// matrixApps is the kernel table, in canonical order. Matrix and
+// internal/fleet both draw from it, so a service-path replay runs
+// byte-for-byte the same cells as the in-process harness.
 var matrixApps = []MatrixApp{
-	{"helmholtz", false, func(cfg core.Config) (string, sim.Duration, core.Report, error) {
+	{"helmholtz", false, "", func(cfg core.Config) (string, sim.Duration, core.Report, error) {
 		r, err := apps.RunHelmholtz(cfg, apps.HelmholtzTest())
 		return fpBits(r.Error, float64(r.Iterations)), r.KernelTime, r.Report, err
 	}},
-	{"ep", false, func(cfg core.Config) (string, sim.Duration, core.Report, error) {
+	{"ep", false, "", func(cfg core.Config) (string, sim.Duration, core.Report, error) {
 		r, err := apps.RunEP(cfg, apps.EPClassT)
 		vs := []float64{r.Sx, r.Sy, r.Accepted}
 		vs = append(vs, r.Counts[:]...)
 		return fpBits(vs...), r.KernelTime, r.Report, err
 	}},
-	{"cg", false, func(cfg core.Config) (string, sim.Duration, core.Report, error) {
+	{"cg", false, "", func(cfg core.Config) (string, sim.Duration, core.Report, error) {
 		r, err := apps.RunCG(cfg, apps.CGClassT)
 		return fpBits(r.Zeta, r.RNorm, float64(r.NZ)), r.KernelTime, r.Report, err
 	}},
-	{"md", false, func(cfg core.Config) (string, sim.Duration, core.Report, error) {
+	{"md", false, "", func(cfg core.Config) (string, sim.Duration, core.Report, error) {
 		r, err := apps.RunMD(cfg, apps.MDTest())
 		return fpBits(r.E0, r.EFinal, r.MaxDrift), r.KernelTime, r.Report, err
 	}},
-	{"quad", false, func(cfg core.Config) (string, sim.Duration, core.Report, error) {
+	{"quad", false, "", func(cfg core.Config) (string, sim.Duration, core.Report, error) {
 		// The irregular tasking kernel: adaptive-quadrature tasks with
 		// cross-node stealing, so steal traffic degrades gracefully under
 		// injected faults like every other protocol.
 		r, err := apps.RunQuad(cfg, apps.QuadTest())
 		return fpBits(r.Integral, r.TableSum), r.KernelTime, r.Report, err
 	}},
-	{"taskdep", false, func(cfg core.Config) (string, sim.Duration, core.Report, error) {
-		// The dependence-graph and offload kernel always runs on the
-		// "fasthalf" heterogeneous machine so device placement is
-		// observable in its matrices. Applied here — constant across
-		// every cell — so the bit-identity invariants still compare
-		// like with like.
-		h, err := netsim.HeteroByName("fasthalf", cfg.Nodes)
-		if err != nil {
-			return "", 0, core.Report{}, err
-		}
-		cfg.Hetero = h
+	// The dependence-graph and offload kernel always runs on the
+	// "fasthalf" heterogeneous machine so device placement is observable
+	// in its matrices.
+	{"taskdep", false, "fasthalf", func(cfg core.Config) (string, sim.Duration, core.Report, error) {
 		r, err := apps.RunTaskdep(cfg, apps.TaskdepTest())
 		return fpBits(r.PipeSum, r.OffloadSum, r.CheckSum), r.KernelTime, r.Report, err
 	}},
-	{"lockmix", true, func(cfg core.Config) (string, sim.Duration, core.Report, error) {
+	{"lockmix", true, "", func(cfg core.Config) (string, sim.Duration, core.Report, error) {
 		// The lock-protocol stress kernel runs with lazy-release tokens
-		// (LockCaching, applied by the matrix drivers) so the cached lock
+		// (LockCaching, applied by Spec normalization) so the cached lock
 		// path (lockcache.go) degrades gracefully too, not just the
 		// centralized one.
 		r, err := apps.RunLockmix(cfg, apps.LockmixTest())
 		return fpBits(r.Sum, r.Expected), r.Report.Time, r.Report, err
 	}},
-}
-
-// MatrixApps returns the application kernels of the acceptance matrices
-// in canonical order. The returned slice is a copy; the Run functions
-// are shared.
-func MatrixApps() []MatrixApp {
-	out := make([]MatrixApp, len(matrixApps))
-	copy(out, matrixApps)
-	return out
 }
 
 // MatrixAppByName resolves one kernel of the matrix table.

@@ -3,6 +3,10 @@
 // execution times of Figs. 8–11, plus the ablation experiments listed in
 // DESIGN.md. Each figure is produced as labelled series over the node
 // counts, formatted as the text tables EXPERIMENTS.md records.
+//
+// It also holds the scenario matrix (Matrix, matrix.go), the acceptance
+// harness whose cells are the job specs (Spec, spec.go) the fleet
+// service runs.
 package harness
 
 import (

@@ -306,10 +306,10 @@ func TestPolicyNames(t *testing.T) {
 			t.Fatalf("ValidPolicy(%q) = false", name)
 		}
 		eng := newPolicyEngine(name, 4)
-		if (eng == nil) != (name == PolicyLegacy) {
-			t.Fatalf("newPolicyEngine(%q) nil-ness wrong", name)
+		if eng == nil {
+			t.Fatalf("newPolicyEngine(%q) = nil; every policy, legacy included, builds an engine", name)
 		}
-		if eng != nil && (eng.cls != nil) != (name == PolicyAdaptive) {
+		if (eng.cls != nil) != (name == PolicyAdaptive) {
 			t.Fatalf("newPolicyEngine(%q) classifier presence wrong", name)
 		}
 	}

@@ -267,8 +267,8 @@ type Engine struct {
 	// without it).
 	recov *recovery
 
-	// policy is the protocol policy engine (nil for the legacy empty
-	// policy — the nil check keeps every hot path identical).
+	// policy is the protocol policy engine (never nil; the legacy empty
+	// policy runs the invalidate strategies).
 	policy *policyEngine
 }
 

@@ -171,19 +171,16 @@ func (e *Engine) completeBarrier(p *sim.Proc, epoch int) {
 			legacy = mods[0]
 		}
 		newHome := legacy
-		push := false
-		if e.policy != nil {
-			class := e.policy.classOf(pg)
-			if cand := e.policy.home.ElectHome(pg, cur, mods, class, e.cfg.HomeMigration); cand == cur || !e.gone(cand) {
-				newHome = cand
-			}
-			if newHome != legacy {
-				e.cnt(0).PolicyHomeOverrides++
-			}
-			if e.policy.prop.ShouldPush(pg, class, mods, len(e.nodes)) {
-				push = true
-				e.cnt(0).PolicyPushes++
-			}
+		class := e.policy.classOf(pg)
+		if cand := e.policy.home.ElectHome(pg, cur, mods, class, e.cfg.HomeMigration); cand == cur || !e.gone(cand) {
+			newHome = cand
+		}
+		if newHome != legacy {
+			e.cnt(0).PolicyHomeOverrides++
+		}
+		push := e.policy.prop.ShouldPush(pg, class, mods, len(e.nodes))
+		if push {
+			e.cnt(0).PolicyPushes++
 		}
 		entries = append(entries, departEntry{Page: pg, NewHome: newHome, Modifiers: mods, Push: push})
 	}
